@@ -34,6 +34,7 @@ from .quantize import (
     payoffs_closed_form,
     payoffs_entangled_basis,
     payoffs_matrix_path,
+    payoffs_matrix_path_batch,
     payoffs_product_basis,
     strategy_unitary,
     werner_state,

@@ -154,8 +154,7 @@ def werner_discord_analytic(p: float) -> float:
     mixed, and the post-measurement entropy is axis-independent with binary
     value H2((1+p)/2), giving D = 1 - S(rho) + H2((1+p)/2).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    p = qmat.clamp_to_range(p, 0.0, 1.0, "p")
     top = (1 + 3 * p) / 4
     rest = (1 - p) / 4
     s_state = qmat.shannon_entropy([top, rest, rest, rest])

@@ -5,6 +5,11 @@ the sampled strategy grid gains more than numerical noise: min_gap >= -1e-9.
 The grid covers theta in [0, pi] and phi in [0, pi/2] with endpoints
 included, so the reference profile itself is always sampled and min_gap is
 never positive at a true equilibrium.
+
+The grid scan is vectorized: each player's deviations go through the batched
+matrix-path kernel (quantize.payoffs_matrix_path_batch) in chunks of at most
+SCAN_CHUNK deviations, which bounds the scan's working memory whatever the
+grid size.  The reference payoffs come from the same kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .quantize import (
     StrategyParams,
     classify_werner,
     payoffs_matrix_path,
+    payoffs_matrix_path_batch,
 )
 from .discord import werner_discord_analytic
 
@@ -42,6 +48,8 @@ __all__ = [
 
 GAP_TOLERANCE = 1e-9
 DEFAULT_GRID = (41, 41)
+# deviations per kernel call in the grid scan
+SCAN_CHUNK = 512
 
 Profile = tuple[StrategyParams, StrategyParams]
 
@@ -90,42 +98,50 @@ class EquilibriumVerdict:
     worst_player: str
     worst_deviation: StrategyParams
     grid_spec: tuple[int, int]
+    reference_payoffs: tuple[float, float]
 
 
 def verify_profile_nash(cfg: QuantumGameConfig, profile: Profile,
                         grid: tuple[int, int] = DEFAULT_GRID) -> EquilibriumVerdict:
-    """Scan both players' unilateral deviations over the strategy grid."""
+    """Scan both players' unilateral deviations over the strategy grid.
+
+    The worst deviation is the first strict minimum of the gap in scan
+    order: player A then B, theta-major, phi-minor.
+    """
     n_theta, n_phi = grid
     if n_theta < 2 or n_phi < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, math.pi / 2, n_phi)
+    thetas, phis = (axis.ravel() for axis in np.meshgrid(
+        np.linspace(0.0, math.pi, n_theta), np.linspace(0.0, math.pi / 2, n_phi),
+        indexing="ij"))
 
     move_a, move_b = profile
-    ref_a, ref_b = payoffs_matrix_path(cfg, move_a, move_b)
+    ref = payoffs_matrix_path(cfg, move_a, move_b)
 
     min_gap = math.inf
     worst_player = "A"
-    worst = StrategyParams(0.0, 0.0)
-    for player, ref in (("A", ref_a), ("B", ref_b)):
-        for theta in thetas:
-            for phi in phis:
-                deviant = StrategyParams(float(theta), float(phi))
-                if player == "A":
-                    alt = payoffs_matrix_path(cfg, deviant, move_b)[0]
-                else:
-                    alt = payoffs_matrix_path(cfg, move_a, deviant)[1]
-                gap = ref - alt
-                if gap < min_gap:
-                    min_gap = gap
-                    worst_player = player
-                    worst = deviant
+    worst_index = 0
+    for player in ("A", "B"):
+        for lo in range(0, thetas.size, SCAN_CHUNK):
+            th, ph = thetas[lo:lo + SCAN_CHUNK], phis[lo:lo + SCAN_CHUNK]
+            if player == "A":
+                gaps = ref[0] - payoffs_matrix_path_batch(cfg, th, ph, move_b.theta,
+                                                          move_b.phi)[0]
+            else:
+                gaps = ref[1] - payoffs_matrix_path_batch(cfg, move_a.theta, move_a.phi,
+                                                          th, ph)[1]
+            i = int(np.argmin(gaps))
+            if gaps[i] < min_gap:
+                min_gap = float(gaps[i])
+                worst_player = player
+                worst_index = lo + i
     return EquilibriumVerdict(
         is_equilibrium=bool(min_gap >= -GAP_TOLERANCE),
-        min_gap=float(min_gap),
+        min_gap=min_gap,
         worst_player=worst_player,
-        worst_deviation=worst,
+        worst_deviation=StrategyParams(float(thetas[worst_index]), float(phis[worst_index])),
         grid_spec=(n_theta, n_phi),
+        reference_payoffs=ref,
     )
 
 
@@ -142,14 +158,23 @@ class DilemmaReport:
     dilemma_resolved: bool
 
 
-def _strictly_beats_classical_moves(cfg: QuantumGameConfig, profile: Profile) -> bool:
-    """True when every unilateral switch to a plain classical move loses."""
-    for player in ("A", "B"):
-        for move in (COOPERATE, DEFECT):
-            if deviation_gap(cfg, "B" if player == "A" else "A", profile, move).gap \
-                    <= GAP_TOLERANCE:
-                return False
-    return True
+def _strictly_beats_classical_moves(cfg: QuantumGameConfig, profile: Profile,
+                                    ref: tuple[float, float]) -> bool:
+    """True when every unilateral switch to a plain classical move loses.
+
+    ref holds the profile's payoffs; the four switches (A to C, A to D, B to
+    C, B to D) are one kernel call.
+    """
+    (move_a, move_b), c, d = profile, COOPERATE, DEFECT
+    pay_a, pay_b = payoffs_matrix_path_batch(
+        cfg,
+        [c.theta, d.theta, move_a.theta, move_a.theta],
+        [c.phi, d.phi, move_a.phi, move_a.phi],
+        [move_b.theta, move_b.theta, c.theta, d.theta],
+        [move_b.phi, move_b.phi, c.phi, d.phi],
+    )
+    gaps = np.concatenate([ref[0] - pay_a[:2], ref[1] - pay_b[2:]])
+    return bool(np.all(gaps > GAP_TOLERANCE))
 
 
 def dilemma_report(game_tag: str, p: float, delta: float = math.pi / 2,
@@ -171,11 +196,12 @@ def dilemma_report(game_tag: str, p: float, delta: float = math.pi / 2,
 
     cfg = QuantumGameConfig(game, p, delta)
     profile = (QUANTUM, QUANTUM)
-    qq = payoffs_matrix_path(cfg, QUANTUM, QUANTUM)
     verdict = verify_profile_nash(cfg, profile, grid)
+    qq = verdict.reference_payoffs
     classical = [(prof, payoffs_at(game, prof)) for prof in pure_nash_equilibria(game)]
 
-    resolved = verdict.is_equilibrium and _strictly_beats_classical_moves(cfg, profile)
+    resolved = verdict.is_equilibrium and \
+        _strictly_beats_classical_moves(cfg, profile, qq)
     if resolved and tag == "pd":
         floor = max(pay[0] for _, pay in classical)
         resolved = qq[0] > floor + GAP_TOLERANCE and qq[1] > floor + GAP_TOLERANCE

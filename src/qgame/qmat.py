@@ -13,80 +13,97 @@ __all__ = [
     "HERMITIAN_TOL",
     "TRACE_TOL",
     "EIGENVALUE_FLOOR",
-    "mat_mul",
-    "dagger",
+    "RANGE_SLACK",
+    "clamp_to_range",
     "kron",
-    "trace",
     "partial_trace",
-    "hermitian_eigenvalues",
     "shannon_entropy",
     "von_neumann_entropy",
     "validate_density_matrix",
+    "validate_density_matrices",
     "validate_probabilities",
 ]
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# how far outside its interval a parameter (p, delta, an angle) may stray and
+# still be clamped back in rather than rejected
+RANGE_SLACK = 1e-9
 
-# hermiticity slack for raw eigenvalue calls; looser than the density-matrix
-# check because callers may pass operators assembled from many float products
-_EIG_HERMITIAN_TOL = 1e-10
 _PROB_SUM_TOL = 1e-10
 _ENTROPY_CUTOFF = 1e-15
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+def clamp_to_range(value, lo: float, hi: float, name: str):
+    """Clamp a scalar or an array into [lo, hi], rejecting non-finite values
+    and values more than RANGE_SLACK outside; scalars come back as float."""
+    if np.ndim(value) == 0:
+        v = float(value)
+        out = min(max(v, lo), hi)
+        if not abs(out - v) <= RANGE_SLACK:
+            raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+        return out
+    v = np.asarray(value, dtype=float)
+    out = np.clip(v, lo, hi)
+    bad = ~(np.abs(out - v) <= RANGE_SLACK)
+    if bad.any():
+        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {v[bad][0]!r}")
+    return out
+
+
+def _as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Complex ndarray of one 2x2 or 4x4 matrix, or with stacked=True of a
+    stack (..., d, d) of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if (m.ndim < 2 if stacked else m.ndim != 2) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] not in (2, 4):
-        raise ValueError(f"{name} must be 2x2 or 4x4, got {m.shape[0]}x{m.shape[0]}")
+    if m.shape[-1] not in (2, 4):
+        raise ValueError(f"{name} must be 2x2 or 4x4, got {m.shape[-1]}x{m.shape[-1]}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{name} has non-finite entries")
     return m
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Product of two square matrices of equal dimension."""
-    ma = _as_square(a, "left factor")
-    mb = _as_square(b, "right factor")
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return ma @ mb
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_square(a).conj().T
-
-
 def kron(a, b) -> np.ndarray:
-    """Tensor product of two single-qubit operators, left factor = first qubit."""
-    ma = _as_square(a, "left factor")
-    mb = _as_square(b, "right factor")
-    if ma.shape != (2, 2) or mb.shape != (2, 2):
+    """Tensor product of single-qubit operators, left factor = first qubit.
+
+    Stacks (..., 2, 2) broadcast against each other and give (..., 4, 4).
+    """
+    ma = _as_square(a, "left factor", stacked=True)
+    mb = _as_square(b, "right factor", stacked=True)
+    if ma.shape[-2:] != (2, 2) or mb.shape[-2:] != (2, 2):
         raise ValueError("kron expects two 2x2 matrices")
-    return np.kron(ma, mb)
+    out = ma[..., :, None, :, None] * mb[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def trace(a) -> complex:
-    return complex(np.trace(_as_square(a)))
-
-
-def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Check hermiticity, unit trace and positivity; return the ndarray."""
-    m = _as_square(rho, name)
-    herm = np.abs(m - m.conj().T).max()
+def _check_density(m: np.ndarray, name: str) -> np.ndarray:
+    # one matrix or a stack; a failure names the worst matrix's miss
+    herm = np.abs(m - m.conj().swapaxes(-1, -2)).max()
     if herm > HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian (deviation {herm:.3e})")
-    tr = np.trace(m)
-    if abs(tr - 1) > TRACE_TOL:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    miss = abs(tr - 1)
+    # a plain comparison for one matrix: the discord scan validates thousands
+    # of single states per call
+    if (miss.max() if miss.ndim else miss) > TRACE_TOL:
+        raise ValueError(f"{name} has trace {np.ravel(tr)[np.argmax(miss)]}, expected 1")
     lo = np.linalg.eigvalsh(m).min()
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"{name} has negative eigenvalue {lo:.3e}")
     return m
+
+
+def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
+    """Check hermiticity, unit trace and positivity; return the ndarray."""
+    return _check_density(_as_square(rho, name), name)
+
+
+def validate_density_matrices(stack, name: str = "state") -> np.ndarray:
+    """validate_density_matrix for a stack (..., d, d) of states in one
+    batched check; a single matrix is the stack of shape ()."""
+    return _check_density(_as_square(stack, name, stacked=True), name)
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
@@ -104,25 +121,22 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     return validate_density_matrix(out, "marginal")
 
 
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, descending."""
-    m = _as_square(h, "operator")
-    herm = np.abs(m - m.conj().T).max()
-    if herm > _EIG_HERMITIAN_TOL:
-        raise ValueError(f"operator is not Hermitian (deviation {herm:.3e})")
-    return np.linalg.eigvalsh(m)[::-1]
-
-
 def validate_probabilities(vec, floor: float = -1e-12) -> np.ndarray:
-    """Clamp tiny negative entries to zero and check normalization."""
+    """Clamp tiny negative entries to zero and check normalization.
+
+    vec is one distribution or a stack (..., n) of them; a failure names the
+    worst one.
+    """
     p = np.asarray(vec, dtype=float)
-    if p.ndim != 1 or p.size not in (2, 4):
+    if p.ndim < 1 or p.shape[-1] not in (2, 4):
         raise ValueError(f"probability vector must have length 2 or 4, got shape {p.shape}")
     if p.min() < floor:
         raise ValueError(f"probability {p.min():.3e} below tolerance")
     p = np.where(p < 0, 0.0, p)
-    if abs(p.sum() - 1) > _PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {p.sum()}, expected 1")
+    sums = p.sum(axis=-1)
+    miss = np.abs(sums - 1)
+    if miss.max() > _PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {np.ravel(sums)[np.argmax(miss)]}, expected 1")
     return p
 
 

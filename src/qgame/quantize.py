@@ -14,6 +14,11 @@ over the four measurement outcomes (ordered 00, 01, 10, 11).
 Two independent payoff routes are provided: the matrix path (projector
 traces against the evolved state) and closed-form trigonometric
 coefficients.  They must agree to 1e-10; tests enforce it.
+
+The matrix path is one batched kernel, payoffs_matrix_path_batch, over
+broadcastable arrays of moves; payoffs_matrix_path and outcome_probabilities
+are its single-profile case.  The closed form stays scalar and separate: it
+is the matrix path's oracle.
 """
 
 from __future__ import annotations
@@ -39,23 +44,15 @@ __all__ = [
     "basis_projectors",
     "outcome_probabilities",
     "payoffs_matrix_path",
+    "payoffs_matrix_path_batch",
     "payoffs_closed_form",
     "payoffs_entangled_basis",
     "payoffs_product_basis",
     "classify_werner",
 ]
 
-_RANGE_SLACK = 1e-9
-
 SEPARABLE_BOUND = 1.0 / 3.0
 NONLOCAL_BOUND = 1.0 / math.sqrt(2.0)
-
-
-def _clamp(value: float, lo: float, hi: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < lo - _RANGE_SLACK or v > hi + _RANGE_SLACK:
-        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
-    return min(max(v, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,10 @@ class StrategyParams:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _clamp(self.theta, 0.0, math.pi, "theta"))
-        object.__setattr__(self, "phi", _clamp(self.phi, 0.0, math.pi / 2, "phi"))
+        object.__setattr__(self, "theta",
+                           qmat.clamp_to_range(self.theta, 0.0, math.pi, "theta"))
+        object.__setattr__(self, "phi",
+                           qmat.clamp_to_range(self.phi, 0.0, math.pi / 2, "phi"))
 
 
 COOPERATE = StrategyParams(0.0, 0.0)
@@ -84,8 +83,9 @@ class QuantumGameConfig:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _clamp(self.p, 0.0, 1.0, "p"))
-        object.__setattr__(self, "delta", _clamp(self.delta, 0.0, math.pi / 2, "delta"))
+        object.__setattr__(self, "p", qmat.clamp_to_range(self.p, 0.0, 1.0, "p"))
+        object.__setattr__(self, "delta",
+                           qmat.clamp_to_range(self.delta, 0.0, math.pi / 2, "delta"))
 
 
 def _bell_ket() -> np.ndarray:
@@ -97,23 +97,42 @@ def _bell_ket() -> np.ndarray:
 
 def werner_state(p: float) -> np.ndarray:
     """p |Phi><Phi| + (1-p)/4 I on two qubits."""
-    p = _clamp(p, 0.0, 1.0, "p")
+    p = qmat.clamp_to_range(p, 0.0, 1.0, "p")
     k = _bell_ket()
     rho = p * np.outer(k, k.conj()) + (1 - p) / 4 * np.eye(4)
     return qmat.validate_density_matrix(rho, "shared state")
 
 
+def _unitaries(theta, phi) -> np.ndarray:
+    """U(theta, phi) over the broadcast shape of the angles: (..., 2, 2)."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    ph = np.cos(phi) + 1j * np.sin(phi)
+    u = np.empty(theta.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = ph * c
+    u[..., 0, 1] = s
+    u[..., 1, 0] = -s
+    u[..., 1, 1] = ph.conj() * c
+    return u
+
+
 def strategy_unitary(move: StrategyParams) -> np.ndarray:
-    c, s = math.cos(move.theta / 2), math.sin(move.theta / 2)
-    ph = complex(math.cos(move.phi), math.sin(move.phi))
-    return np.array([[ph * c, s], [-s, ph.conjugate() * c]])
+    return _unitaries(move.theta, move.phi)
+
+
+def _evolve(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    # (Ua x Ub) rho (Ua x Ub)^dagger for every pair in the broadcast stack,
+    # checked as density matrices in one batched call
+    u = qmat.kron(u_a, u_b)
+    return qmat.validate_density_matrices(u @ rho @ u.conj().swapaxes(-1, -2),
+                                          "final state")
 
 
 def final_state(rho, move_a: StrategyParams, move_b: StrategyParams) -> np.ndarray:
     """Apply the players' local unitaries: (Ua x Ub) rho (Ua x Ub)^dagger."""
     m = qmat.validate_density_matrix(rho, "input state")
-    u = qmat.kron(strategy_unitary(move_a), strategy_unitary(move_b))
-    return qmat.validate_density_matrix(u @ m @ u.conj().T, "final state")
+    return _evolve(m, strategy_unitary(move_a), strategy_unitary(move_b))
 
 
 def basis_projectors(delta: float):
@@ -124,38 +143,74 @@ def basis_projectors(delta: float):
     Returned in outcome order (00, 01, 10, 11); they resolve the identity for
     every delta.
     """
-    delta = _clamp(delta, 0.0, math.pi / 2, "delta")
+    delta = qmat.clamp_to_range(delta, 0.0, math.pi / 2, "delta")
     c, s = math.cos(delta / 2), math.sin(delta / 2)
-    kets = (
-        np.array([c, 0, 0, 1j * s]),
-        np.array([0, c, -1j * s, 0]),
-        np.array([0, -1j * s, c, 0]),
-        np.array([1j * s, 0, 0, c]),
-    )
-    return tuple(np.outer(k, k.conj()) for k in kets)
+    kets = np.array([
+        [c, 0, 0, 1j * s],
+        [0, c, -1j * s, 0],
+        [0, -1j * s, c, 0],
+        [1j * s, 0, 0, c],
+    ])
+    return tuple(kets[:, :, None] * kets[:, None, :].conj())
+
+
+def _outcome_probabilities(cfg: QuantumGameConfig, theta_a, phi_a, theta_b,
+                           phi_b) -> np.ndarray:
+    """The matrix-path kernel: outcome distributions (..., 4) for broadcastable
+    arrays of moves.
+
+    werner_state(cfg.p) is built and checked once, conjugated by every pair
+    of strategy unitaries, and the stack of final states is checked in one
+    batched call; then the projector traces are checked for imaginary parts
+    and the distributions for floor and normalization.
+    """
+    theta_a = qmat.clamp_to_range(theta_a, 0.0, math.pi, "theta")
+    phi_a = qmat.clamp_to_range(phi_a, 0.0, math.pi / 2, "phi")
+    theta_b = qmat.clamp_to_range(theta_b, 0.0, math.pi, "theta")
+    phi_b = qmat.clamp_to_range(phi_b, 0.0, math.pi / 2, "phi")
+    rho = _evolve(werner_state(cfg.p), _unitaries(theta_a, phi_a),
+                  _unitaries(theta_b, phi_b))
+    # Tr(P_k rho) = sum_ij rho[j, i] P_k[i, j]: one row-times-matrix product
+    # per profile, so a profile's value is the same whatever stack it is in
+    proj = np.swapaxes(basis_projectors(cfg.delta), -1, -2).reshape(4, 16).T
+    raw = (rho.reshape(rho.shape[:-2] + (1, 16)) @ proj)[..., 0, :]
+    worst_imag = np.abs(raw.imag).max()
+    if worst_imag > 1e-12:
+        raise ValueError(f"outcome probability has imaginary part {worst_imag:.3e}")
+    return qmat.validate_probabilities(raw.real, floor=-1e-10)
 
 
 def outcome_probabilities(cfg: QuantumGameConfig, move_a: StrategyParams,
                           move_b: StrategyParams) -> np.ndarray:
     """Measurement distribution over outcomes (00, 01, 10, 11)."""
-    rho = final_state(werner_state(cfg.p), move_a, move_b)
-    raw = [np.trace(proj @ rho) for proj in basis_projectors(cfg.delta)]
-    worst_imag = max(abs(v.imag) for v in raw)
-    if worst_imag > 1e-12:
-        raise ValueError(f"outcome probability has imaginary part {worst_imag:.3e}")
-    return qmat.validate_probabilities([v.real for v in raw], floor=-1e-10)
+    return _outcome_probabilities(cfg, move_a.theta, move_a.phi, move_b.theta, move_b.phi)
+
+
+def payoffs_matrix_path_batch(cfg: QuantumGameConfig, theta_a, phi_a, theta_b,
+                              phi_b) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix-path payoffs (A's, B's) for broadcastable arrays of moves.
+
+    Player A plays (theta_a, phi_a) and B (theta_b, phi_b); each output has
+    the broadcast shape of the four angle arrays.  Angles are range-checked
+    like StrategyParams.
+    """
+    probs = _outcome_probabilities(cfg, theta_a, phi_a, theta_b, phi_b)
+    return ((probs * cfg.game.payoff_a.reshape(4)).sum(axis=-1),
+            (probs * cfg.game.payoff_b.reshape(4)).sum(axis=-1))
+
+
+def payoffs_matrix_path(cfg: QuantumGameConfig, move_a: StrategyParams,
+                        move_b: StrategyParams) -> tuple[float, float]:
+    """Payoffs from explicit state evolution and projector traces."""
+    pa, pb = payoffs_matrix_path_batch(cfg, move_a.theta, move_a.phi,
+                                       move_b.theta, move_b.phi)
+    return float(pa), float(pb)
 
 
 def _expected_payoffs(game: Bimatrix, probs) -> tuple[float, float]:
     pa = float(np.dot(game.payoff_a.reshape(4), probs))
     pb = float(np.dot(game.payoff_b.reshape(4), probs))
     return pa, pb
-
-
-def payoffs_matrix_path(cfg: QuantumGameConfig, move_a: StrategyParams,
-                        move_b: StrategyParams) -> tuple[float, float]:
-    """Payoffs from explicit state evolution and projector traces."""
-    return _expected_payoffs(cfg.game, outcome_probabilities(cfg, move_a, move_b))
 
 
 def _bell_overlaps(move_a: StrategyParams, move_b: StrategyParams) -> np.ndarray:
@@ -244,7 +299,7 @@ def classify_werner(p: float, boundary_tol: float = 1e-12) -> WernerClassificati
     """Region of werner_state(p): separable for p <= 1/3, violating a Bell
     inequality for p > 1/sqrt(2), entangled but local in between.  Boundary
     values belong to the lower region."""
-    p = _clamp(p, 0.0, 1.0, "p")
+    p = qmat.clamp_to_range(p, 0.0, 1.0, "p")
     if p <= SEPARABLE_BOUND:
         region = "separable"
     elif p <= NONLOCAL_BOUND:

@@ -11,8 +11,8 @@ from qgame.discord import (
     quantum_discord,
     werner_discord_analytic,
 )
-from qgame.qmat import von_neumann_entropy
-from qgame.quantize import werner_state
+from qgame.qmat import RANGE_SLACK, von_neumann_entropy
+from qgame.quantize import classify_werner, werner_state
 
 # reference values computed once from the closed-form Werner expressions and
 # pinned so a regression in either route is visible
@@ -143,3 +143,16 @@ def test_analytic_curve_shape():
     assert all(b - a > -1e-12 for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError, match="p"):
         werner_discord_analytic(1.5)
+
+
+@pytest.mark.parametrize("p, inside", [(-1e-12, 0.0), (1 + 1e-12, 1.0)])
+def test_p_range_slack_is_one_policy(p, inside):
+    # werner_state, classify_werner and the analytic curve clamp the same
+    # rounding-size excursions and reject the same larger ones
+    assert np.array_equal(werner_state(p), werner_state(inside))
+    assert classify_werner(p) == classify_werner(inside)
+    assert werner_discord_analytic(p) == werner_discord_analytic(inside)
+    beyond = inside + math.copysign(2 * RANGE_SLACK, p - inside)
+    for fn in (werner_state, classify_werner, werner_discord_analytic):
+        with pytest.raises(ValueError, match="p must lie in"):
+            fn(beyond)

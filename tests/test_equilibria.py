@@ -3,23 +3,27 @@ import math
 import numpy as np
 import pytest
 
+from qgame import equilibria
 from qgame.equilibria import (
     DEFAULT_GRID,
     GAP_TOLERANCE,
+    SCAN_CHUNK,
     cg_gap_closed_form,
     deviation_gap,
     dilemma_report,
     pd_gap_closed_form,
     verify_profile_nash,
 )
-from qgame.games import builtin_cg, builtin_pd
+from qgame.games import Bimatrix, builtin_cg, builtin_pd
 from qgame.quantize import (
     COOPERATE,
     DEFECT,
     QUANTUM,
     QuantumGameConfig,
     StrategyParams,
+    payoffs_closed_form,
     payoffs_matrix_path,
+    payoffs_matrix_path_batch,
 )
 
 PD = builtin_pd()
@@ -156,3 +160,94 @@ def test_dilemma_report_cg():
 def test_dilemma_report_rejects_unknown_game():
     with pytest.raises(ValueError, match="game"):
         dilemma_report("matching-pennies", 0.5)
+
+
+# ------------------------------------------------------- batched grid scan
+
+def scalar_scan(c, profile, grid):
+    """Brute-force verdict from one deviation_gap call per grid point, in
+    the documented scan order: player A then B, theta-major, phi-minor."""
+    best = (math.inf, None, None)
+    for player, fixed in (("A", "B"), ("B", "A")):
+        for theta in np.linspace(0.0, PI, grid[0]):
+            for phi in np.linspace(0.0, PI / 2, grid[1]):
+                got = deviation_gap(c, fixed, profile, StrategyParams(theta, phi))
+                if got.gap < best[0]:
+                    best = (got.gap, player, got.deviant)
+    return best
+
+
+def random_game(rng):
+    return Bimatrix(rng.integers(-6, 19, (2, 2)) / 2, rng.integers(-6, 19, (2, 2)) / 2)
+
+
+def random_profile(rng):
+    return (StrategyParams(rng.uniform(0, PI), rng.uniform(0, PI / 2)),
+            StrategyParams(rng.uniform(0, PI), rng.uniform(0, PI / 2)))
+
+
+@pytest.mark.parametrize("grid", [(11, 11), (21, 21)])
+def test_batched_verdict_matches_scalar_scan(grid):
+    rng = np.random.default_rng(431 + grid[0])
+    for delta in (0.0, rng.uniform(0, PI / 2), PI / 2):
+        c = QuantumGameConfig(random_game(rng), rng.uniform(0, 1), delta)
+        profile = random_profile(rng)
+        gap, player, deviant = scalar_scan(c, profile, grid)
+        verdict = verify_profile_nash(c, profile, grid)
+        assert verdict.min_gap == pytest.approx(gap, abs=1e-12)
+        assert verdict.is_equilibrium == (gap >= -GAP_TOLERANCE)
+        assert (verdict.worst_player, verdict.worst_deviation) == (player, deviant)
+        assert verdict.reference_payoffs == payoffs_matrix_path(c, *profile)
+
+
+def test_81x81_minimum_in_last_partial_chunk():
+    # B's best deviation is grid point 6479 of 6561, inside the last chunk of
+    # 6561 - 12 * 512 = 417 deviations; the runner-up is 2e-4 worse
+    game = Bimatrix([[8.5, 4.5], [8.5, 7.5]], [[1.0, 0.5], [5.0, 3.5]])
+    c = QuantumGameConfig(game, 0.93, 1.1)
+    profile = (StrategyParams(0.65, 1.52), StrategyParams(1.07, 1.29))
+    grid = (81, 81)
+    thetas, phis = (a.ravel() for a in np.meshgrid(
+        np.linspace(0, PI, 81), np.linspace(0, PI / 2, 81), indexing="ij"))
+    full_b = payoffs_matrix_path_batch(c, profile[0].theta, profile[0].phi, thetas, phis)[1]
+    gaps_b = payoffs_matrix_path(c, *profile)[1] - full_b
+    index = int(np.argmin(gaps_b))
+    assert index >= (thetas.size // SCAN_CHUNK) * SCAN_CHUNK
+
+    verdict = verify_profile_nash(c, profile, grid)
+    assert verdict.worst_player == "B"
+    assert verdict.worst_deviation == StrategyParams(thetas[index], phis[index])
+    assert verdict.min_gap == gaps_b[index]
+    closed = payoffs_closed_form(c, *profile)[1] - payoffs_closed_form(
+        c, profile[0], verdict.worst_deviation)[1]
+    assert verdict.min_gap == pytest.approx(closed, abs=1e-10)
+    assert not verdict.is_equilibrium
+
+
+def test_scan_calls_kernel_in_bounded_chunks(monkeypatch):
+    sizes = []
+    kernel = equilibria.payoffs_matrix_path_batch
+
+    def spy(cfg, *angles):
+        sizes.append(np.broadcast(*angles).size)
+        return kernel(cfg, *angles)
+
+    monkeypatch.setattr(equilibria, "payoffs_matrix_path_batch", spy)
+    verify_profile_nash(cfg(CG, 0.4), QQ, grid=(41, 41))
+    assert max(sizes) <= SCAN_CHUNK
+    assert sum(sizes) == 2 * 41 * 41
+
+
+def test_dilemma_report_evaluates_reference_once(monkeypatch):
+    calls = []
+    single = equilibria.payoffs_matrix_path
+
+    def spy(*args):
+        calls.append(args)
+        return single(*args)
+
+    monkeypatch.setattr(equilibria, "payoffs_matrix_path", spy)
+    report = dilemma_report("pd", 0.6, grid=(11, 11))
+    assert len(calls) == 1
+    assert report.qq_payoffs == report.verdict.reference_payoffs
+    assert report.dilemma_resolved

@@ -6,7 +6,6 @@ import pytest
 from qgame import qmat
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
 
@@ -28,11 +27,6 @@ def random_complex(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def random_hermitian(rng, dim):
-    m = random_complex(rng, dim)
-    return (m + m.conj().T) / 2
-
-
 def random_unitary(rng, dim):
     q, _ = np.linalg.qr(random_complex(rng, dim))
     return q
@@ -45,47 +39,13 @@ def random_density(rng, dim):
     return sum(wi * np.outer(k, k.conj()) for wi, k in zip(w, kets))
 
 
-def test_mat_mul_identity():
-    a = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.allclose(qmat.mat_mul(a, I2), a)
-    assert np.allclose(qmat.mat_mul(I2, a), a)
-
-
-def test_mat_mul_pauli_square():
-    assert np.allclose(qmat.mat_mul(SX, SX), I2)
-
-
-def test_mat_mul_matches_index_sum():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b = random_complex(rng, 4), random_complex(rng, 4)
-        want = np.zeros((4, 4), dtype=complex)
-        for i in range(4):
-            for j in range(4):
-                want[i, j] = sum(a[i, k] * b[k, j] for k in range(4))
-        assert np.allclose(qmat.mat_mul(a, b), want, atol=1e-12)
-
-
-def test_mat_mul_rejects_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        qmat.mat_mul(I2, I4)
-
-
 def test_rejects_non_square_and_bad_dim():
-    with pytest.raises(ValueError):
-        qmat.trace(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        qmat.trace(np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        qmat.trace(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_dagger():
-    m = np.array([[1, 2 + 1j], [3j, 4]])
-    d = qmat.dagger(m)
-    assert np.allclose(d, m.conj().T)
-    h = random_hermitian(np.random.default_rng(3), 4)
-    assert np.allclose(qmat.dagger(h), h)
+    with pytest.raises(ValueError, match="square"):
+        qmat.validate_density_matrix(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="2x2 or 4x4"):
+        qmat.validate_density_matrix(np.ones((3, 3)) / 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        qmat.validate_density_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_kron_identity_and_flip():
@@ -107,20 +67,21 @@ def test_kron_index_convention():
                     assert k[2 * i + kk, 2 * j + ll] == pytest.approx(a[i, j] * b[kk, ll])
 
 
+def test_kron_broadcasts_stacks():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(5, 1, 2, 2)) + 1j * rng.normal(size=(5, 1, 2, 2))
+    b = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    out = qmat.kron(a, b)
+    assert out.shape == (5, 3, 4, 4)
+    for i in range(5):
+        for j in range(3):
+            assert np.array_equal(out[i, j], qmat.kron(a[i, 0], b[j]))
+            assert np.allclose(out[i, j], np.kron(a[i, 0], b[j]), atol=1e-15)
+
+
 def test_kron_rejects_wrong_size():
     with pytest.raises(ValueError, match="2x2"):
         qmat.kron(I4, I2)
-
-
-def test_trace_values_and_cyclicity():
-    assert qmat.trace(I4) == pytest.approx(4)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, b = random_complex(rng, 4), random_complex(rng, 4)
-        assert qmat.trace(a @ b) == pytest.approx(qmat.trace(b @ a), abs=1e-10)
-    a2, b2 = random_complex(rng, 2), random_complex(rng, 2)
-    assert qmat.trace(qmat.kron(a2, b2)) == pytest.approx(
-        qmat.trace(a2) * qmat.trace(b2))
 
 
 def test_partial_trace_of_product_recovers_factors():
@@ -168,43 +129,6 @@ def test_partial_trace_rejects_bad_input():
         qmat.partial_trace(I2 / 2, "A")
 
 
-def test_eigenvalues_descending_diag():
-    ev = qmat.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0, 0.0]))
-    assert np.allclose(ev, [3, 2, 1, 0])
-
-
-def test_eigenvalues_werner_spectrum():
-    for p in np.linspace(0, 1, 9):
-        ev = qmat.hermitian_eigenvalues(werner(p))
-        want = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, reverse=True)
-        assert np.allclose(ev, want, atol=1e-12)
-
-
-def test_eigenvalues_pure_bell():
-    rho = np.outer(bell_ket(), bell_ket().conj())
-    assert np.allclose(qmat.hermitian_eigenvalues(rho), [1, 0, 0, 0], atol=1e-12)
-
-
-def test_eigenvalues_reject_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        qmat.hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eigenvalues_power_sums():
-    # power sums tr(H^k), k=1..4, determine the spectrum of a 4x4 Hermitian;
-    # checking all four is an eigensolver-independent verification
-    rng = np.random.default_rng(31)
-    for _ in range(100):
-        h = random_hermitian(rng, 4)
-        ev = qmat.hermitian_eigenvalues(h)
-        assert np.all(np.diff(ev) <= 1e-12)
-        power = h.copy()
-        scale = max(1.0, np.abs(h).max()) ** 4
-        for k in range(1, 5):
-            assert abs(np.sum(ev**k) - np.trace(power).real) < 1e-10 * scale
-            power = power @ h
-
-
 def test_shannon_entropy_values():
     assert qmat.shannon_entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(2.0)
     assert qmat.shannon_entropy([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.0)
@@ -248,6 +172,49 @@ def test_von_neumann_entropy_unitary_invariance():
 def test_validate_density_matrix_accepts_valid():
     out = qmat.validate_density_matrix(werner(0.7))
     assert out.shape == (4, 4)
+
+
+def test_validate_density_matrices_checks_every_state():
+    rng = np.random.default_rng(53)
+    stack = np.array([random_density(rng, 4) for _ in range(6)])
+    assert qmat.validate_density_matrices(stack).shape == (6, 4, 4)
+    assert qmat.validate_density_matrices(stack[0]).shape == (4, 4)
+    bad = stack.copy()
+    bad[4, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        qmat.validate_density_matrices(bad)
+    bad = stack.copy()
+    bad[5] *= 1.5
+    with pytest.raises(ValueError, match="trace"):
+        qmat.validate_density_matrices(bad)
+    bad = stack.copy()
+    bad[2] = np.diag([1.2, -0.2, 0, 0])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        qmat.validate_density_matrices(bad)
+    with pytest.raises(ValueError, match="square"):
+        qmat.validate_density_matrices(np.ones(4))
+
+
+def test_clamp_to_range_scalars_and_arrays():
+    assert qmat.clamp_to_range(1 + 1e-12, 0.0, 1.0, "p") == 1.0
+    assert qmat.clamp_to_range(-1e-12, 0.0, 1.0, "p") == 0.0
+    assert isinstance(qmat.clamp_to_range(np.float64(0.5), 0.0, 1.0, "p"), float)
+    out = qmat.clamp_to_range([-1e-10, 0.5, 1 + 1e-10], 0.0, 1.0, "p")
+    assert out.tolist() == [0.0, 0.5, 1.0]
+    for bad in (1 + 2 * qmat.RANGE_SLACK, -2 * qmat.RANGE_SLACK, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must lie in"):
+            qmat.clamp_to_range(bad, 0.0, 1.0, "p")
+        with pytest.raises(ValueError, match="p must lie in"):
+            qmat.clamp_to_range([0.5, bad], 0.0, 1.0, "p")
+
+
+def test_validate_probabilities_stacks():
+    out = qmat.validate_probabilities([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5, -1e-13]])
+    assert out.shape == (2, 4) and out.min() == 0.0
+    with pytest.raises(ValueError, match="sum"):
+        qmat.validate_probabilities([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.2]])
+    with pytest.raises(ValueError, match="below"):
+        qmat.validate_probabilities([[0.5, 0.5, 0.0, 0.0], [0.6, 0.5, 0.0, -0.1]])
 
 
 def test_validate_probabilities_floor():

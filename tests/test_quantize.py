@@ -17,6 +17,7 @@ from qgame.quantize import (
     payoffs_closed_form,
     payoffs_entangled_basis,
     payoffs_matrix_path,
+    payoffs_matrix_path_batch,
     payoffs_product_basis,
     strategy_unitary,
     werner_state,
@@ -82,8 +83,8 @@ def test_werner_state_spectrum_and_marginals():
     from qgame import qmat
     for p in np.linspace(0, 1, 7):
         rho = werner_state(p)
-        ev = qmat.hermitian_eigenvalues(rho)
-        want = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3, reverse=True)
+        ev = np.linalg.eigvalsh(rho)
+        want = sorted([(1 + 3 * p) / 4] + [(1 - p) / 4] * 3)
         assert np.allclose(ev, want, atol=1e-12)
         for keep in ("A", "B"):
             assert np.abs(qmat.partial_trace(rho, keep) - np.eye(2) / 2).max() < 1e-12
@@ -317,3 +318,87 @@ def test_classify_werner_regions():
     assert not classify_werner(0.5).at_separable_boundary
     with pytest.raises(ValueError, match="p"):
         classify_werner(1.2)
+
+
+# --------------------------------------------------------- batched kernel
+
+def test_batch_kernel_matches_closed_form_on_random_arrays():
+    rng = np.random.default_rng(271)
+    games = [PD, CG] + [Bimatrix(rng.uniform(-4, 4, (2, 2)), rng.uniform(-4, 4, (2, 2)))
+                        for _ in range(2)]
+    checked = 0
+    for k, delta in enumerate((0.0, PI / 2, *rng.uniform(0, PI / 2, size=6))):
+        c = cfg(games[k % len(games)], (0.0, 1.0, *rng.uniform(0, 1, size=6))[k], delta)
+        # A's moves along one axis, B's along the other: (20, 8) profiles
+        ta, fa = rng.uniform(0, PI, (20, 1)), rng.uniform(0, PI / 2, (20, 1))
+        tb, fb = rng.uniform(0, PI, 8), rng.uniform(0, PI / 2, 8)
+        pay_a, pay_b = payoffs_matrix_path_batch(c, ta, fa, tb, fb)
+        assert pay_a.shape == pay_b.shape == (20, 8)
+        for i in range(20):
+            for j in range(8):
+                want = payoffs_closed_form(c, StrategyParams(ta[i, 0], fa[i, 0]),
+                                           StrategyParams(tb[j], fb[j]))
+                assert abs(pay_a[i, j] - want[0]) < 1e-10
+                assert abs(pay_b[i, j] - want[1]) < 1e-10
+                checked += 1
+    assert checked >= 1000
+
+
+def test_batch_kernel_element_equals_single_profile_call():
+    # the grid verdict's tie-break relies on a profile's payoffs not
+    # depending on the stack they are computed in
+    rng = np.random.default_rng(277)
+    c = cfg(CG, 0.45, 0.9)
+    ta, fa = rng.uniform(0, PI, 600), rng.uniform(0, PI / 2, 600)
+    tb, fb = rng.uniform(0, PI, 600), rng.uniform(0, PI / 2, 600)
+    pay_a, pay_b = payoffs_matrix_path_batch(c, ta, fa, tb, fb)
+    for i in range(0, 600, 7):
+        single = payoffs_matrix_path(c, StrategyParams(ta[i], fa[i]),
+                                     StrategyParams(tb[i], fb[i]))
+        assert single == (pay_a[i], pay_b[i])
+    assert np.array_equal(outcome_probabilities(c, StrategyParams(ta[5], fa[5]),
+                                                StrategyParams(tb[5], fb[5])),
+                          _outcome_rows(c, ta, fa, tb, fb)[5])
+
+
+def _outcome_rows(c, ta, fa, tb, fb):
+    # outcome distributions of a stack, read back from the payoffs of the
+    # four indicator games
+    rows = []
+    for k in range(4):
+        table = np.zeros(4)
+        table[k] = 1.0
+        game = Bimatrix(table.reshape(2, 2), table.reshape(2, 2))
+        rows.append(payoffs_matrix_path_batch(cfg(game, c.p, c.delta), ta, fa, tb, fb)[0])
+    return np.stack(rows, axis=-1)
+
+
+def test_batch_kernel_scalar_inputs_and_range_checks():
+    c = cfg(PD, 0.3, PI / 2)
+    got = payoffs_matrix_path_batch(c, 0.0, PI / 2, 0.0, PI / 2)
+    assert np.shape(got[0]) == ()
+    assert (float(got[0]), float(got[1])) == payoffs_matrix_path(c, QUANTUM, QUANTUM)
+    edge = payoffs_matrix_path_batch(c, [PI + 1e-10], [-1e-10], [0.0], [PI / 2])
+    assert edge[0][0] == pytest.approx(payoffs_matrix_path(c, DEFECT, QUANTUM)[0], abs=1e-12)
+    with pytest.raises(ValueError, match="theta"):
+        payoffs_matrix_path_batch(c, [0.1, PI + 1e-3], 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="phi"):
+        payoffs_matrix_path_batch(c, 0.0, 0.0, 0.0, [0.2, np.nan])
+
+
+@pytest.mark.parametrize("defect, message", [
+    (lambda rho: rho + np.triu(np.full((4, 4), 1e-6), 1), "not Hermitian"),
+    (lambda rho: rho + np.diag([0.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+], ids=["non_hermitian", "non_psd"])
+def test_batch_kernel_rejects_bad_shared_state_like_scalar_route(monkeypatch, defect,
+                                                                 message):
+    from qgame import quantize
+    monkeypatch.setattr(quantize, "werner_state",
+                        lambda p: defect(np.eye(4, dtype=complex) / 4))
+    c = cfg(CG, 0.5, 0.7)
+    with pytest.raises(ValueError, match=message) as scalar:
+        payoffs_matrix_path(c, QUANTUM, DEFECT)
+    with pytest.raises(ValueError, match=message) as batched:
+        payoffs_matrix_path_batch(c, np.linspace(0, PI, 50), 0.3, 0.0, PI / 2)
+    assert str(scalar.value).startswith("final state")
+    assert str(batched.value).startswith("final state")
