@@ -15,6 +15,7 @@ __all__ = [
     "EIGENVALUE_FLOOR",
     "RANGE_SLACK",
     "clamp_to_range",
+    "dagger",
     "kron",
     "partial_trace",
     "shannon_entropy",
@@ -63,6 +64,11 @@ def _as_square(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError(f"{name} has non-finite entries")
     return m
+
+
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose of one matrix, or of each matrix in a stack (..., d, d)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:

@@ -125,7 +125,7 @@ def _evolve(rho: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
     # (Ua x Ub) rho (Ua x Ub)^dagger for every pair in the broadcast stack,
     # checked as density matrices in one batched call
     u = qmat.kron(u_a, u_b)
-    return qmat.validate_density_matrices(u @ rho @ u.conj().swapaxes(-1, -2),
+    return qmat.validate_density_matrices(u @ rho @ qmat.dagger(u),
                                           "final state")
 
 

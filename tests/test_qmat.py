@@ -27,6 +27,11 @@ def random_complex(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def random_hermitian(rng, dim):
+    m = random_complex(rng, dim)
+    return (m + m.conj().T) / 2
+
+
 def random_unitary(rng, dim):
     q, _ = np.linalg.qr(random_complex(rng, dim))
     return q
@@ -46,6 +51,14 @@ def test_rejects_non_square_and_bad_dim():
         qmat.validate_density_matrix(np.ones((3, 3)) / 3)
     with pytest.raises(ValueError, match="non-finite"):
         qmat.validate_density_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_dagger():
+    m = np.array([[1, 2 + 1j], [3j, 4]])
+    d = qmat.dagger(m)
+    assert np.allclose(d, m.conj().T)
+    h = random_hermitian(np.random.default_rng(3), 4)
+    assert np.allclose(qmat.dagger(h), h)
 
 
 def test_kron_identity_and_flip():
