@@ -32,7 +32,6 @@ from .quantize import (
     final_state,
     outcome_probabilities,
     payoffs_closed_form,
-    payoffs_entangled_basis,
     payoffs_matrix_path,
     payoffs_matrix_path_batch,
     payoffs_product_basis,

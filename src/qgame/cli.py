@@ -15,15 +15,12 @@ consistency failure such as the two payoff routes disagreeing.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 from .discord import quantum_discord, werner_discord_analytic
-from .equilibria import (
-    DEFAULT_GRID,
-    dilemma_report,
-    verify_profile_nash,
-)
+from .equilibria import dilemma_report, verify_profile_nash
 from .games import (
     MOVE_LABELS,
     Bimatrix,
@@ -49,6 +46,8 @@ __all__ = ["main", "entry"]
 
 PAYOFF_ROUTE_TOL = 1e-10
 DISCORD_ROUTE_TOL = 1e-6
+# not folded into qmat.RANGE_SLACK (1e-9): typed decimals like 3.1415927 overshoot
+# pi by 5e-8 and must clamp (test_payoff_accepts_angle_rounding_slack pins it)
 _CLI_ANGLE_SLACK = 1e-6
 
 
@@ -151,6 +150,7 @@ def _add_common(sub, default_format: str) -> None:
     sub.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qgame",
                      description="Quantized 2x2 games on a noisy Bell state.")

@@ -7,8 +7,11 @@ discord D = I - J is the quantum remainder; it can be nonzero even for
 separable states.
 
 The axis minimization is a deterministic coarse scan over the Bloch sphere
-followed by a shrinking local refinement.  For the noisy Bell states built
-by quantize.werner_state the conditional entropy is axis-independent and a
+followed by a shrinking local refinement, on one batched kernel over arrays
+of axes: the state is validated once, and each scan level (the coarse grid,
+then each 5x5 refinement step) is one kernel call.  conditional_entropy is
+the kernel's single-axis case.  For the noisy Bell states built by
+quantize.werner_state the conditional entropy is axis-independent and a
 closed form for D is available (werner_discord_analytic); the numeric and
 analytic routes are kept separate so that tests can compare them.
 """
@@ -37,9 +40,6 @@ __all__ = [
 _OUTCOME_CUTOFF = 1e-14
 
 _I2 = np.eye(2, dtype=complex)
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]])
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class BlochDirection(NamedTuple):
@@ -67,76 +67,88 @@ def mutual_information(rho) -> float:
     )
 
 
+def _projectors(theta, phi) -> np.ndarray:
+    """Projectors (I +- n.sigma)/2 along each axis of the broadcast shape of
+    the angles: (..., 2, 2, 2), spin-up first."""
+    st = np.sin(theta)
+    x, y, z = np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
+    n_dot_sigma = np.stack([np.stack([z, x - 1j * y], axis=-1),
+                            np.stack([x + 1j * y, -z], axis=-1)], axis=-2)
+    return np.stack([_I2 + n_dot_sigma, _I2 - n_dot_sigma], axis=-3) / 2
+
+
 def measurement_projectors(axis: BlochDirection) -> tuple[np.ndarray, np.ndarray]:
     """Projectors (I +- n.sigma)/2 onto the spin-up/down states along axis."""
-    st, ct = math.sin(axis.theta), math.cos(axis.theta)
-    n_dot_sigma = st * math.cos(axis.phi) * _SX + st * math.sin(axis.phi) * _SY + ct * _SZ
-    return (_I2 + n_dot_sigma) / 2, (_I2 - n_dot_sigma) / 2
+    return tuple(_projectors(axis.theta, axis.phi))
 
 
-def _reduce_first(mat: np.ndarray) -> np.ndarray:
-    # partial trace over qubit B without density-matrix validation; the
-    # argument here is a subnormalized measurement branch
-    return np.einsum("ikjk->ij", mat.reshape(2, 2, 2, 2))
+def _conditional_entropies(m: np.ndarray, theta, phi) -> np.ndarray:
+    """The conditional-entropy kernel: S(A | outcome on B) along every axis of
+    the broadcast (theta, phi) shape, for an already validated 4x4 state m.
+
+    Outcome i occurs with probability p_i = Tr[(I x Pi_i) rho] and leaves A in
+    Tr_B[(I x Pi_i) rho] / p_i; outcomes below the cutoff contribute zero."""
+    # Tr_B[(I x Pi) rho]_ij = sum_kl Pi[k, l] rho[il, jk]
+    branch = np.einsum("...kl,iljk->...ij", _projectors(theta, phi), m.reshape(2, 2, 2, 2))
+    p = np.trace(branch, axis1=-2, axis2=-1).real
+    kept = p >= _OUTCOME_CUTOFF
+    ev = np.clip(np.linalg.eigvalsh(branch / np.where(kept, p, 1.0)[..., None, None]),
+                 0.0, 1.0)
+    return np.sum(np.where(kept, p * qmat.entropy_bits(ev), 0.0), axis=-1)
 
 
 def conditional_entropy(rho, axis: BlochDirection) -> float:
-    """Average entropy of qubit A after measuring qubit B along axis.
-
-    Outcome i occurs with probability Tr[(I x Pi_i) rho]; the surviving state
-    of A is Tr_B[(I x Pi_i) rho (I x Pi_i)] / p_i.  Outcomes below the cutoff
-    probability contribute zero.
-    """
+    """Average entropy of qubit A after measuring qubit B along axis."""
     m = qmat.validate_density_matrix(rho, "two-qubit state")
-    total = 0.0
-    for proj in measurement_projectors(axis):
-        branch = m @ np.kron(_I2, proj)
-        p_i = float(np.trace(branch).real)
-        if p_i < _OUTCOME_CUTOFF:
-            continue
-        conditional = _reduce_first(branch) / p_i
-        ev = np.clip(np.linalg.eigvalsh(conditional), 0.0, 1.0)
-        ev = ev[ev > 1e-15]
-        total += p_i * float(-np.sum(ev * np.log2(ev)))
-    return total
+    return float(_conditional_entropies(m, axis.theta, axis.phi))
+
+
+def _first_improvement(m, theta, phi, best_val: float, best: BlochDirection):
+    # one kernel call over the candidate axes, then the sequential rule in
+    # their C order: replace only on a clear improvement
+    theta, phi = np.broadcast_arrays(theta, phi)
+    vals = _conditional_entropies(m, theta, phi)
+    for k, val in enumerate(vals.ravel().tolist()):
+        if val < best_val - 1e-15:
+            best_val, best = val, BlochDirection(float(theta.flat[k]), float(phi.flat[k]))
+    return best_val, best
 
 
 def quantum_discord(rho, coarse_steps: int = 48,
                     axis_resolution: float = 1e-6) -> DiscordReport:
     """Discord of a two-qubit state under projective measurements on qubit B.
 
-    The minimizing axis is found by an exhaustive coarse_steps x coarse_steps
-    scan of the sphere and then a 5x5 shrinking-neighborhood refinement down
-    to axis_resolution radians.  Ties prefer smaller polar then azimuthal
-    angle, so the result is deterministic.
+    The minimizing axis comes from an exhaustive coarse_steps x coarse_steps
+    (polar x azimuthal) scan of the sphere, then levels of 5x5 patches in the
+    plane tangent at the best axis so far, the span halving down to
+    axis_resolution radians; patch steps are the same size everywhere, poles
+    included.  Ties keep the earlier axis, so the result is deterministic.
     """
     m = qmat.validate_density_matrix(rho, "two-qubit state")
     if coarse_steps < 2:
         raise ValueError("coarse_steps must be at least 2")
+    if not (math.isfinite(axis_resolution) and axis_resolution > 0):
+        raise ValueError(f"axis_resolution must be positive and finite, got {axis_resolution!r}")
     s_a = qmat.von_neumann_entropy(qmat.partial_trace(m, "A"))
     total = mutual_information(m)
 
-    best_val = math.inf
-    best = BlochDirection(0.0, 0.0)
-    for theta in np.linspace(0.0, math.pi, coarse_steps):
-        for phi in np.arange(coarse_steps) * (2 * math.pi / coarse_steps):
-            val = conditional_entropy(m, BlochDirection(float(theta), float(phi)))
-            if val < best_val - 1e-15:
-                best_val, best = val, BlochDirection(float(theta), float(phi))
-
-    span_t = math.pi / (coarse_steps - 1)
-    span_p = 2 * math.pi / coarse_steps
-    while max(span_t, span_p) > axis_resolution:
-        for dt in (-span_t, -span_t / 2, 0.0, span_t / 2, span_t):
-            for dp in (-span_p, -span_p / 2, 0.0, span_p / 2, span_p):
-                axis = BlochDirection(
-                    min(max(best.theta + dt, 0.0), math.pi),
-                    (best.phi + dp) % (2 * math.pi),
-                )
-                val = conditional_entropy(m, axis)
-                if val < best_val - 1e-15:
-                    best_val, best = val, axis
-        span_t, span_p = span_t / 2, span_p / 2
+    best_val, best = _first_improvement(
+        m, np.linspace(0.0, math.pi, coarse_steps)[:, None],
+        np.arange(coarse_steps) * (2 * math.pi / coarse_steps),
+        math.inf, BlochDirection(0.0, 0.0))
+    span = max(math.pi / (coarse_steps - 1), 2 * math.pi / coarse_steps)
+    steps = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]) * span
+    while span > axis_resolution:
+        # the best axis n and the unit vectors along increasing theta and phi
+        st, ct = math.sin(best.theta), math.cos(best.theta)
+        sp, cp = math.sin(best.phi), math.cos(best.phi)
+        n, e_theta, e_phi = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st],
+                                      [-sp, cp, 0.0]])
+        v = n + steps[:, None, None] * e_theta + steps[:, None] * e_phi
+        best_val, best = _first_improvement(
+            m, np.arctan2(np.hypot(v[..., 0], v[..., 1]), v[..., 2]),
+            np.arctan2(v[..., 1], v[..., 0]) % (2 * math.pi), best_val, best)
+        span, steps = span / 2, steps / 2
 
     classical = s_a - best_val
     return DiscordReport(

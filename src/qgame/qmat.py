@@ -18,6 +18,7 @@ __all__ = [
     "dagger",
     "kron",
     "partial_trace",
+    "entropy_bits",
     "shannon_entropy",
     "von_neumann_entropy",
     "validate_density_matrix",
@@ -146,16 +147,19 @@ def validate_probabilities(vec, floor: float = -1e-12) -> np.ndarray:
     return p
 
 
+def entropy_bits(weights) -> np.ndarray:
+    """-sum w log2 w over the last axis of weights, in bits; weights at or
+    below _ENTROPY_CUTOFF contribute zero."""
+    w = np.asarray(weights, dtype=float)
+    return -np.sum(w * np.log2(np.where(w > _ENTROPY_CUTOFF, w, 1.0)), axis=-1)
+
+
 def shannon_entropy(probs) -> float:
     """H(p) = -sum p_i log2 p_i; zero entries contribute zero."""
-    p = validate_probabilities(probs)
-    p = p[p > _ENTROPY_CUTOFF]
-    return float(-np.sum(p * np.log2(p)))
+    return float(entropy_bits(validate_probabilities(probs)))
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda_i log2 lambda_i over the spectrum."""
     m = validate_density_matrix(rho)
-    ev = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-    ev = ev[ev > _ENTROPY_CUTOFF]
-    return float(-np.sum(ev * np.log2(ev)))
+    return float(entropy_bits(np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)))

@@ -46,7 +46,6 @@ __all__ = [
     "payoffs_matrix_path",
     "payoffs_matrix_path_batch",
     "payoffs_closed_form",
-    "payoffs_entangled_basis",
     "payoffs_product_basis",
     "classify_werner",
 ]
@@ -207,35 +206,24 @@ def payoffs_matrix_path(cfg: QuantumGameConfig, move_a: StrategyParams,
     return float(pa), float(pb)
 
 
-def _expected_payoffs(game: Bimatrix, probs) -> tuple[float, float]:
-    pa = float(np.dot(game.payoff_a.reshape(4), probs))
-    pb = float(np.dot(game.payoff_b.reshape(4), probs))
-    return pa, pb
+def _outcome_coefficients(move_a: StrategyParams, move_b: StrategyParams,
+                          delta: float) -> np.ndarray:
+    """Closed-form outcome weights of the pure Bell component at any delta.
 
-
-def _bell_overlaps(move_a: StrategyParams, move_b: StrategyParams) -> np.ndarray:
-    """Outcome weights of the pure Bell component at delta = pi/2."""
+    g holds the weights at delta = pi/2.  Lowering delta mixes each weight
+    with its double-flip partner (00<->11, 01<->10) in proportion
+    (1 +- sin delta)/2; the four weights sum to 1 for all angles.
+    """
     c1, s1 = math.cos(move_a.theta / 2), math.sin(move_a.theta / 2)
     c2, s2 = math.cos(move_b.theta / 2), math.sin(move_b.theta / 2)
     f1, f2 = move_a.phi, move_b.phi
     both = f1 + f2
-    return np.array([
+    g = np.array([
         (math.cos(both) * c1 * c2) ** 2,
         (math.cos(f1) * c1 * s2 - math.sin(f2) * s1 * c2) ** 2,
         (math.sin(f1) * c1 * s2 - math.cos(f2) * s1 * c2) ** 2,
         (math.sin(both) * c1 * c2 + s1 * s2) ** 2,
     ])
-
-
-def _outcome_coefficients(move_a: StrategyParams, move_b: StrategyParams,
-                          delta: float) -> np.ndarray:
-    """Closed-form outcome weights of the pure Bell component at any delta.
-
-    Lowering delta from pi/2 mixes each weight with its double-flip partner
-    (00<->11, 01<->10) in proportion (1 +- sin delta)/2; the four weights sum
-    to 1 for all angles.
-    """
-    g = _bell_overlaps(move_a, move_b)
     w = math.sin(delta)
     partner = g[[3, 2, 1, 0]]
     return ((1 + w) * g + (1 - w) * partner) / 2
@@ -250,16 +238,8 @@ def payoffs_closed_form(cfg: QuantumGameConfig, move_a: StrategyParams,
     """
     coeff = _outcome_coefficients(move_a, move_b, cfg.delta)
     probs = cfg.p * coeff + (1 - cfg.p) / 4
-    return _expected_payoffs(cfg.game, probs)
-
-
-def payoffs_entangled_basis(cfg: QuantumGameConfig, move_a: StrategyParams,
-                            move_b: StrategyParams) -> tuple[float, float]:
-    """Specialized payoffs for the maximally entangled basis (delta = pi/2)."""
-    if abs(cfg.delta - math.pi / 2) > 1e-12:
-        raise ValueError(f"entangled-basis payoffs require delta = pi/2, got {cfg.delta!r}")
-    probs = cfg.p * _bell_overlaps(move_a, move_b) + (1 - cfg.p) / 4
-    return _expected_payoffs(cfg.game, probs)
+    return (float(np.dot(cfg.game.payoff_a.reshape(4), probs)),
+            float(np.dot(cfg.game.payoff_b.reshape(4), probs)))
 
 
 def payoffs_product_basis(cfg: QuantumGameConfig, move_a: StrategyParams,

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qgame.cli import main
+from qgame.cli import _build_parser, main
 from qgame.discord import werner_discord_analytic
 
 PI = math.pi
@@ -261,3 +261,19 @@ def test_output_flag_writes_file(capsys, tmp_path):
     assert "\r" not in data
     assert data.endswith("\n") and not data.endswith("\n\n")
     assert data.split("\n")[0] == "quantity,value"
+
+
+def test_cached_parser_keeps_no_flags_between_calls(capsys):
+    # the parser is built once per process; a second subcommand run with
+    # defaulted flags must not see the flags of the call before it
+    second = ("nash-check", "--game", "pd", "--p", "0.5", "--grid", "5x5")
+    run(capsys, "payoff", "--game", "cg", "--p", "0.3", "--delta", "45",
+        "--degrees", "--format", "csv", "--theta1", "30", "--phi1", "20",
+        "--theta2", "60", "--phi2", "10")
+    after = run(capsys, *second)
+    assert _build_parser() is _build_parser()
+    _build_parser.cache_clear()
+    fresh = run(capsys, *second)
+    assert after == fresh
+    assert after[0] == 0
+    assert table(after[1])["worst_deviation_phi"] == "1.57079632679"

@@ -163,6 +163,17 @@ def test_shannon_entropy_rejects_bad_vectors():
         qmat.shannon_entropy([0.5, 0.25, 0.25])
 
 
+def test_entropy_bits_over_last_axis():
+    w = np.array([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0],
+                  [0.5, 0.5, 1e-16, 0.0], [0.5, 0.25, 0.125, 0.125]])
+    got = qmat.entropy_bits(w)
+    assert got.shape == (4,)
+    assert np.abs(got - [2.0, 0.0, 1.0, 1.75]).max() < 1e-15
+    # weights at or below the cutoff contribute nothing, not 0 * log2(0)
+    assert np.isfinite(qmat.entropy_bits(np.zeros((2, 3)))).all()
+    assert qmat.entropy_bits([0.5, 0.5]) == 1.0
+
+
 def test_von_neumann_entropy_values():
     assert qmat.von_neumann_entropy(I4 / 4) == pytest.approx(2.0, abs=1e-12)
     assert qmat.von_neumann_entropy(I2 / 2) == pytest.approx(1.0, abs=1e-12)

@@ -15,7 +15,6 @@ from qgame.quantize import (
     final_state,
     outcome_probabilities,
     payoffs_closed_form,
-    payoffs_entangled_basis,
     payoffs_matrix_path,
     payoffs_matrix_path_batch,
     payoffs_product_basis,
@@ -261,8 +260,7 @@ def test_quantum_profile_payoffs_both_paths():
     for p in np.linspace(0, 1, 11):
         for game, want in ((PD, 2.25 + 0.75 * p), (CG, 2 + p)):
             c = cfg(game, p, PI / 2)
-            for route in (payoffs_matrix_path, payoffs_closed_form,
-                          payoffs_entangled_basis):
+            for route in (payoffs_matrix_path, payoffs_closed_form):
                 got = route(c, QUANTUM, QUANTUM)
                 assert got[0] == pytest.approx(want, abs=1e-10)
                 assert got[1] == pytest.approx(want, abs=1e-10)
@@ -273,11 +271,9 @@ def test_entangled_basis_specialization():
     c = cfg(PD, 0.8, PI / 2)
     for move_a, move_b in random_moves(rng, 100):
         want = payoffs_matrix_path(c, move_a, move_b)
-        got = payoffs_entangled_basis(c, move_a, move_b)
+        got = payoffs_closed_form(c, move_a, move_b)
         assert abs(got[0] - want[0]) < 1e-10
         assert abs(got[1] - want[1]) < 1e-10
-    with pytest.raises(ValueError, match="pi/2"):
-        payoffs_entangled_basis(cfg(PD, 0.8, 1.0), QUANTUM, QUANTUM)
 
 
 def test_product_basis_specialization():
