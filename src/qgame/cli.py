@@ -2,7 +2,7 @@
 
     qgame payoff        both payoff routes for one strategy profile
     qgame discord-curve discord of the shared state as purity p sweeps 0..1
-    qgame nash-check    grid verdict for a profile (default all-quantum)
+    qgame nash-check    quadratic-form grid verdict for a profile (default all-quantum)
     qgame sweep-p       payoffs, equilibrium gap and discord along p
     qgame classical     pure equilibria / dominance / Pareto set of a game
     qgame report        dilemma-resolution summary for a builtin game

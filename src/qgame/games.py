@@ -90,16 +90,13 @@ def pure_nash_equilibria(game: Bimatrix) -> list[PureProfile]:
 def dominant_strategy(game: Bimatrix, player: str) -> int | None:
     """Weakly dominant move for "A" (row) or "B" (column), strict against at
     least one opposing move; None when neither move qualifies."""
-    if player == "A":
-        gains = [[game.payoff_a[m, c] - game.payoff_a[1 - m, c] for c in (0, 1)]
-                 for m in (0, 1)]
-    elif player == "B":
-        gains = [[game.payoff_b[r, m] - game.payoff_b[r, 1 - m] for r in (0, 1)]
-                 for m in (0, 1)]
-    else:
+    if player not in ("A", "B"):
         raise ValueError(f"player must be 'A' or 'B', got {player!r}")
+    # own[m, o]: the player's payoff for move m against opposing move o
+    own = game.payoff_a if player == "A" else game.payoff_b.T
     for m in (0, 1):
-        if min(gains[m]) >= 0 and max(gains[m]) > 0:
+        gains = own[m] - own[1 - m]
+        if gains.min() >= 0 and gains.max() > 0:
             return m
     return None
 

@@ -286,6 +286,32 @@ def test_discord_matches_luo_with_optimal_axis_near_a_pole(polar):
     assert math.acos(min(1.0, abs(float(found @ bloch_rotation(ub)[:, k])))) < 1e-3
 
 
+def test_discord_and_mutual_information_are_local_unitary_invariant():
+    rng = np.random.default_rng(461)
+    for _ in range(4):
+        rho = random_density(rng, 4)
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
+        moved = u @ rho @ u.conj().T
+        before, after = quantum_discord(rho), quantum_discord(moved)
+        assert after.discord == pytest.approx(before.discord, abs=1e-9)
+        assert after.mutual_info == pytest.approx(before.mutual_info, abs=1e-9)
+        assert mutual_information(moved) == pytest.approx(mutual_information(rho), abs=1e-9)
+
+
+def test_discord_vanishes_on_classical_quantum_states():
+    # sum_i p_i rho_A^i x |b_i><b_i| with B classical in a random basis: measuring
+    # B in that basis disturbs nothing, so the minimizer must find it
+    rng = np.random.default_rng(467)
+    for _ in range(4):
+        basis = haar_unitary(rng)
+        weights = rng.dirichlet(np.ones(2))
+        rho = sum(w * np.kron(random_density(rng, 2), np.outer(b, b.conj()))
+                  for w, b in zip(weights, basis.T))
+        report = quantum_discord(rho)
+        assert abs(report.discord) <= 1e-9
+        assert report.mutual_info > 1e-3
+
+
 @pytest.mark.parametrize("resolution", [-1.0, 0.0, math.nan, math.inf])
 def test_discord_rejects_bad_axis_resolution(resolution):
     with pytest.raises(ValueError, match="axis_resolution"):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qgame import equilibria
+from qgame import equilibria, quantize
 from qgame.equilibria import (
     DEFAULT_GRID,
     GAP_TOLERANCE,
-    SCAN_CHUNK,
     cg_gap_closed_form,
     deviation_gap,
     dilemma_report,
@@ -200,9 +199,8 @@ def test_batched_verdict_matches_scalar_scan(grid):
         assert verdict.reference_payoffs == payoffs_matrix_path(c, *profile)
 
 
-def test_81x81_minimum_in_last_partial_chunk():
-    # B's best deviation is grid point 6479 of 6561, inside the last chunk of
-    # 6561 - 12 * 512 = 417 deviations; the runner-up is 2e-4 worse
+def test_81x81_minimum_is_the_kernel_gap_at_the_worst_deviation():
+    # B's best deviation is grid point 6479 of 6561; the runner-up is 2e-4 worse
     game = Bimatrix([[8.5, 4.5], [8.5, 7.5]], [[1.0, 0.5], [5.0, 3.5]])
     c = QuantumGameConfig(game, 0.93, 1.1)
     profile = (StrategyParams(0.65, 1.52), StrategyParams(1.07, 1.29))
@@ -212,7 +210,6 @@ def test_81x81_minimum_in_last_partial_chunk():
     full_b = payoffs_matrix_path_batch(c, profile[0].theta, profile[0].phi, thetas, phis)[1]
     gaps_b = payoffs_matrix_path(c, *profile)[1] - full_b
     index = int(np.argmin(gaps_b))
-    assert index >= (thetas.size // SCAN_CHUNK) * SCAN_CHUNK
 
     verdict = verify_profile_nash(c, profile, grid)
     assert verdict.worst_player == "B"
@@ -224,18 +221,66 @@ def test_81x81_minimum_in_last_partial_chunk():
     assert not verdict.is_equilibrium
 
 
-def test_scan_calls_kernel_in_bounded_chunks(monkeypatch):
-    sizes = []
-    kernel = equilibria.payoffs_matrix_path_batch
+def test_kernel_work_does_not_grow_with_the_grid(monkeypatch):
+    # one spy on every name of the kernel, so the reference's call counts too
+    kernel = quantize.payoffs_matrix_path_batch
+    counts = []
+    for grid in ((11, 11), (81, 81)):
+        sizes = []
 
-    def spy(cfg, *angles):
-        sizes.append(np.broadcast(*angles).size)
-        return kernel(cfg, *angles)
+        def spy(cfg, *angles):
+            sizes.append(np.broadcast(*angles).size)
+            return kernel(cfg, *angles)
 
-    monkeypatch.setattr(equilibria, "payoffs_matrix_path_batch", spy)
-    verify_profile_nash(cfg(CG, 0.4), QQ, grid=(41, 41))
-    assert max(sizes) <= SCAN_CHUNK
-    assert sum(sizes) == 2 * 41 * 41
+        with monkeypatch.context() as patch:
+            patch.setattr(quantize, "payoffs_matrix_path_batch", spy)
+            patch.setattr(equilibria, "payoffs_matrix_path_batch", spy)
+            verify_profile_nash(cfg(CG, 0.4), QQ, grid=grid)
+        counts.append((len(sizes), sum(sizes)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 3
+
+
+def test_quadratic_form_matches_kernel_on_31x31_grid():
+    rng = np.random.default_rng(457)
+    thetas, phis = np.linspace(0, PI, 31)[:, None], np.linspace(0, PI / 2, 31)
+    for delta in (0.0, PI / 2, *rng.uniform(0, PI / 2, 4)):
+        c = QuantumGameConfig(random_game(rng), rng.uniform(0, 1), delta)
+        (move_a, move_b) = profile = random_profile(rng)
+        q_a, q_b = equilibria._fit_forms(c, profile, payoffs_matrix_path(c, *profile))
+        kernel_a = payoffs_matrix_path_batch(c, thetas, phis, move_b.theta, move_b.phi)[0]
+        kernel_b = payoffs_matrix_path_batch(c, move_a.theta, move_a.phi, thetas, phis)[1]
+        assert np.abs(equilibria._form(q_a, thetas, phis) - kernel_a).max() < 1e-12
+        assert np.abs(equilibria._form(q_b, thetas, phis) - kernel_b).max() < 1e-12
+
+
+def alter_kernel(monkeypatch, alter):
+    """Make the verdict's own kernel calls (not the reference's) return
+    alter(theta_a, phi_a, payoffs) for each player's payoffs."""
+    kernel = quantize.payoffs_matrix_path_batch
+
+    def altered(cfg, theta_a, phi_a, theta_b, phi_b):
+        theta_a, phi_a = np.asarray(theta_a), np.asarray(phi_a)
+        return tuple(alter(theta_a, phi_a, pay)
+                     for pay in kernel(cfg, theta_a, phi_a, theta_b, phi_b))
+
+    monkeypatch.setattr(equilibria, "payoffs_matrix_path_batch", altered)
+
+
+def test_kernel_that_is_not_quadratic_fails_the_fit_check(monkeypatch):
+    # 1e-6 sin^2(theta_a) sin^2(2 phi_a) is zero at the fit moves and at both
+    # players' moves, so the fitted Q misses all of it, 8/9 of 1e-6, at A's probe
+    alter_kernel(monkeypatch, lambda theta_a, phi_a, pay:
+                 pay + 1e-6 * (np.sin(theta_a) * np.sin(2 * phi_a)) ** 2)
+    with pytest.raises(ValueError, match="fit check missed .* by 8.889e-07"):
+        verify_profile_nash(cfg(PD, 0.6), QQ, grid=(11, 11))
+
+
+def test_worst_deviation_miss_raises(monkeypatch):
+    # right on the fit moves, off by 1e-8 on a single-profile call
+    alter_kernel(monkeypatch, lambda theta_a, phi_a, pay: pay + 1e-8 * (pay.size == 1))
+    with pytest.raises(ValueError, match="worst-deviation check missed .* by 1.000e-08"):
+        verify_profile_nash(cfg(PD, 0.0), QQ, grid=(11, 11))
 
 
 def test_dilemma_report_evaluates_reference_once(monkeypatch):
